@@ -11,9 +11,12 @@ around ``a`` (Lemma 6.1 for the counted tuples, plus psi's own locality).
 Inserting or deleting one tuple can therefore only change the values of
 elements within distance D of the touched entries — measured in the old
 *or* the new structure, since both the before- and after-neighbourhoods
-matter.  On bounded-degree structures that affected set has constant size,
-giving constant-time-per-update maintenance (modulo structure rebuilding,
-which this prototype keeps simple and immutable).
+matter.  On bounded-degree structures that affected set has constant size.
+The structures stay immutable: :meth:`Structure.with_tuple` derives the
+new structure's adjacency, columnar view and per-position indexes from the
+old one's by a change local to the touched tuple (leaving only C-speed
+copies of the touched relation and the view containers), so a repair costs
+work proportional to the changed neighbourhood, not a rebuild of ``||A||``.
 
 :class:`IncrementalUnaryCache` maintains ``u^A[a]`` for all ``a`` under
 single-tuple insertions and deletions, recomputing only the affected
@@ -113,8 +116,8 @@ class IncrementalUnaryCache:
     def _apply(self, relation: str, tup: Tup, present: bool) -> None:
         old_structure = self.structure
         new_structure = _with_tuple(old_structure, relation, tuple(tup), present)
-        if new_structure.relation(relation) == old_structure.relation(relation):
-            return  # no-op update (tuple already present/absent)
+        if new_structure is old_structure:
+            return  # no-op update: with_tuple returns the structure itself
         entries = [entry for entry in tup]
         affected: Set[Element] = set()
         if entries:

@@ -16,12 +16,26 @@ near-linear behaviour of the whole pipeline.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import FormulaError
-from ..logic.predicates import PredicateCollection
+from ..logic.predicates import PredicateCollection, standard_collection
 from ..logic.semantics import satisfies
-from ..logic.syntax import Formula, Variable
+from ..logic.syntax import (
+    And,
+    Atom,
+    Bottom,
+    Eq,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Top,
+    Variable,
+)
 from ..obs import active_metrics, traced
 from ..robust.budget import EvaluationBudget
 from ..structures.gaifman import neighbourhood
@@ -257,12 +271,24 @@ def evaluate_basic_unary(
         raise FormulaError("evaluate_basic_unary needs a unary basic cl-term")
     targets = list(elements) if elements is not None else list(structure.universe_order)
     balls = _BallCache(structure, term.link_distance)
-    quantifier_free = _is_quantifier_free(term.psi)
+    collection = predicates if predicates is not None else standard_collection()
+    if _is_quantifier_free(term.psi):
+        # A quantifier-free psi is evaluated globally, compiled once.
+        holds = _compile_psi(structure, term.psi, term.variables, collection)
+    else:
+        holds = partial(
+            _psi_holds,
+            structure,
+            term.psi,
+            term.variables,
+            radius=term.psi_radius,
+            predicates=collection,
+            locally=evaluate_psi_locally,
+        )
     # Resolve the per-tuple budget hook once: the inner loop is the hot
     # path, and even a repeated `is not None` test per tuple is measurable,
     # so the instrumented and plain loops are kept as separate paths.
     tick = budget.tick if budget is not None else None
-    check_locally = evaluate_psi_locally and not quantifier_free
     values: Dict[Element, int] = {}
     for element in targets:
         total = 0
@@ -271,28 +297,12 @@ def evaluate_basic_unary(
         )
         if tick is None:
             for tup in tuples:
-                if _psi_holds(
-                    structure,
-                    term.psi,
-                    term.variables,
-                    tup,
-                    term.psi_radius,
-                    predicates,
-                    check_locally,
-                ):
+                if holds(tup):
                     total += 1
         else:
             for tup in tuples:
                 tick("local.tuple")
-                if _psi_holds(
-                    structure,
-                    term.psi,
-                    term.variables,
-                    tup,
-                    term.psi_radius,
-                    predicates,
-                    check_locally,
-                ):
+                if holds(tup):
                     total += 1
         values[element] = total
     return values
@@ -328,7 +338,7 @@ def _psi_holds(
     variables: Tuple[Variable, ...],
     tup: Tuple[Element, ...],
     radius: int,
-    predicates: "Optional[PredicateCollection]",
+    predicates: PredicateCollection,
     locally: bool,
 ) -> bool:
     assignment = dict(zip(variables, tup))
@@ -336,6 +346,76 @@ def _psi_holds(
         return satisfies(structure, psi, assignment, predicates)
     local = neighbourhood(structure, tup, radius)
     return satisfies(local, psi, assignment, predicates)
+
+
+#: A compiled quantifier-free formula: counted tuple -> truth value.
+TupleTest = Callable[[Tuple[Element, ...]], bool]
+
+
+def _compile_psi(
+    structure: Structure,
+    psi: Formula,
+    variables: Tuple[Variable, ...],
+    predicates: PredicateCollection,
+) -> TupleTest:
+    """``psi`` as a closure over the positions of ``variables`` in the
+    counted tuple, evaluated on the whole ``structure``.
+
+    Atoms become membership tests in the relation frozensets and the
+    connectives become Python boolean operators, so a counted tuple costs
+    no assignment dict and no :class:`~repro.logic.semantics.
+    Interpretation`.  Any other node (numerical predicates, ``dist``
+    atoms) falls back to :func:`~repro.logic.semantics.satisfies` under
+    the once-resolved ``predicates``; so does an atom over an unknown
+    relation or with the wrong arity, which therefore raises the same
+    typed error at the same point as before.  :class:`BasicClTerm`
+    guarantees that every free variable of ``psi`` is one of
+    ``variables``."""
+    position = {variable: i for i, variable in enumerate(variables)}
+
+    def compile_node(node: Formula) -> TupleTest:
+        if isinstance(node, Atom):
+            symbol = structure.signature.get(node.relation)
+            if symbol is not None and symbol.arity == len(node.args):
+                relation = structure.relation(symbol)
+                indices = [position[arg] for arg in node.args]
+                if len(indices) >= 2:
+                    pick = itemgetter(*indices)
+                    return lambda tup: pick(tup) in relation
+                if len(indices) == 1:
+                    i = indices[0]
+                    return lambda tup: (tup[i],) in relation
+                present = () in relation
+                return lambda tup: present
+        if isinstance(node, Eq):
+            i, j = position[node.left], position[node.right]
+            return lambda tup: tup[i] == tup[j]
+        if isinstance(node, Not):
+            inner = compile_node(node.inner)
+            return lambda tup: not inner(tup)
+        if isinstance(node, And):
+            left, right = compile_node(node.left), compile_node(node.right)
+            return lambda tup: left(tup) and right(tup)
+        if isinstance(node, Or):
+            left, right = compile_node(node.left), compile_node(node.right)
+            return lambda tup: left(tup) or right(tup)
+        if isinstance(node, Implies):
+            left, right = compile_node(node.left), compile_node(node.right)
+            return lambda tup: not left(tup) or right(tup)
+        if isinstance(node, Iff):
+            left, right = compile_node(node.left), compile_node(node.right)
+            return lambda tup: left(tup) == right(tup)
+        if isinstance(node, Top):
+            return lambda tup: True
+        if isinstance(node, Bottom):
+            return lambda tup: False
+        # Numerical predicates, dist atoms, and atoms that do not fit the
+        # signature (satisfies raises their typed error when reached).
+        return lambda tup: satisfies(
+            structure, node, dict(zip(variables, tup)), predicates
+        )
+
+    return compile_node(psi)
 
 
 def evaluate_polynomial_ground(

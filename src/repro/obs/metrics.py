@@ -136,6 +136,12 @@ class MetricsRegistry:
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
 
+    def counter_values(self) -> Dict[str, int]:
+        """A copy of every counter, safe to iterate while other threads
+        sharing the registry keep recording."""
+        with self._lock:
+            return dict(self.counters)
+
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-serialisable view: counters plus histogram summaries."""
         with self._lock:

@@ -250,9 +250,8 @@ class ExecutionState:
         cache = self._ball_caches.setdefault(distance, {})
         cached = cache.get(element)
         if cached is None:
-            # gaifman.ball picks the backend adaptively: the columnar BFS
-            # kernel on a settled structure, the incrementally maintained
-            # dict adjacency mid-update-sequence (see structures/gaifman.py).
+            # gaifman.ball runs on the columnar BFS kernel, which
+            # Structure.with_tuple derives along update sequences.
             cached = gaifman_ball(self.structure, (element,), distance)
             cache[element] = cached
             if self._metrics is not None:

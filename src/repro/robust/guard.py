@@ -80,6 +80,17 @@ STAGES = ("main_algorithm", "foc1", "baseline")
 _AFFORDABLE_NO_DEADLINE = 5e7
 
 
+def _counter_delta(registry, before: Dict[str, int]) -> Dict[str, int]:
+    """The counters that moved since ``before``.  Reads a copy: in the
+    query service, worker threads share the registry and may add counters
+    while a stage report is being filled in."""
+    return {
+        key: value - before.get(key, 0)
+        for key, value in registry.counter_values().items()
+        if value != before.get(key, 0)
+    }
+
+
 @dataclass
 class StageReport:
     """Outcome of one cascade stage."""
@@ -839,7 +850,7 @@ class RobustEvaluator:
             runnable_left -= 1
             stage_started = time.monotonic()
             entry = StageReport(name, "failed")
-            before = dict(registry.counters) if registry is not None else None
+            before = registry.counter_values() if registry is not None else None
             try:
                 with span(f"robust.stage.{name}"):
                     answer = fn(stage_budget)
@@ -855,11 +866,7 @@ class RobustEvaluator:
                     entry.steps = stage_budget.steps
                     self._charge_parent(stage_budget.steps, name)
                 if registry is not None:
-                    entry.metrics = {
-                        key: value - before.get(key, 0)
-                        for key, value in registry.counters.items()
-                        if value != before.get(key, 0)
-                    }
+                    entry.metrics = _counter_delta(registry, before)
                     registry.inc(f"robust.stage.{name}.suspended")
                 report.stages.append(entry)
                 report.elapsed = time.monotonic() - started
@@ -905,11 +912,7 @@ class RobustEvaluator:
                 self.breaker.record_success(name)
             entry.elapsed = time.monotonic() - stage_started
             if registry is not None:
-                entry.metrics = {
-                    key: value - before.get(key, 0)
-                    for key, value in registry.counters.items()
-                    if value != before.get(key, 0)
-                }
+                entry.metrics = _counter_delta(registry, before)
                 registry.inc(f"robust.stage.{name}.{entry.status}")
             if stage_budget is not None:
                 entry.steps = stage_budget.steps

@@ -16,11 +16,13 @@ A :class:`ColumnarStructure` is derived data of one
 :class:`~repro.structures.structure.Structure` and lives under the same
 contract as the adjacency/index/statistics caches (see the ``Structure``
 docstring): built lazily by :meth:`Structure.columnar`, cached on the
-instance, dropped by :meth:`Structure.invalidate_caches`, and **not**
-carried over by :meth:`Structure.with_tuple` (the derived structure
-rebuilds lazily against its own relations; only the
-:class:`~repro.structures.interning.ElementInterner` is shared, because
-the universe — and hence the id space — is identical).
+instance, dropped by :meth:`Structure.invalidate_caches`, and *derived*
+by :meth:`Structure.with_tuple` through :meth:`ColumnarStructure.
+derive_insert` / :meth:`ColumnarStructure.derive_delete`: the derived
+view shares the :class:`~repro.structures.interning.ElementInterner`
+(the universe — and hence the id space — is identical) and every
+untouched relation's columnar form, and changes only the neighbour lists
+of the touched tuple's entries.
 
 Bitset convention: a set of ids is a non-negative Python int with bit
 ``i`` set iff id ``i`` is a member.  ``(bs >> i) & 1`` is the membership
@@ -256,19 +258,10 @@ class ColumnarStructure:
     def _adjacency_csr(self) -> Tuple["array[int]", "array[int]"]:
         """CSR adjacency: ``targets[offsets[i]:offsets[i+1]]`` are the
         sorted neighbour ids of ``i``.  Built directly from the relations
-        (never through the element-space adjacency dict)."""
+        (never through the element-space adjacency dict), and only for a
+        view without neighbour tuples: derived views carry just those (see
+        :meth:`derive_insert`), and every reader prefers them."""
         if self._offsets is None:
-            if self._neigh is not None:
-                # A derived view (see :meth:`derive_insert`) carries its
-                # adjacency as neighbour tuples; fold them back into CSR.
-                offsets = array("q", [0])
-                targets = array("q")
-                for neighbours in self._neigh:
-                    targets.extend(neighbours)
-                    offsets.append(len(targets))
-                self._offsets = offsets
-                self._targets = targets
-                return self._offsets, self._targets
             id_of = self.interner._ids
             # Accumulate raw (possibly duplicated) neighbour ids per node
             # and dedupe once at the end: plain list appends beat per-tuple
@@ -319,22 +312,21 @@ class ColumnarStructure:
             )
         return self._neigh
 
+    def has_adjacency(self) -> bool:
+        """Whether the adjacency (CSR or neighbour tuples) is built."""
+        return self._neigh is not None or self._offsets is not None
+
     def neighbours(self, eid: int) -> "array[int]":
         """Sorted neighbour ids of one element."""
+        if self._neigh is not None:
+            return array("q", self._neigh[eid])
         offsets, targets = self._adjacency_csr()
         return targets[offsets[eid] : offsets[eid + 1]]
 
-    def derive_insert(self, structure, symbol, tup) -> "ColumnarStructure":
-        """The derived view after a single-tuple *insertion* — the columnar
-        leg of :meth:`Structure.with_tuple`'s copy-on-write contract.
-
-        Shares the interner and every untouched relation's columnar form,
-        drops the touched relation's (rebuilt lazily against the derived
-        structure), and extends the adjacency incrementally with the new
-        tuple's co-occurrence edges — the exact policy of the dict
-        adjacency (deletions reset instead, since other tuples may still
-        witness the affected edges; ``with_tuple`` simply leaves
-        ``_columnar`` unset in that case)."""
+    def _derived_view(self, structure, symbol) -> "ColumnarStructure":
+        """A view of ``structure`` sharing this one's interner, universe
+        bitset, adjacency and every relation but ``symbol``'s (rebuilt
+        lazily against the derived structure)."""
         view = ColumnarStructure.__new__(ColumnarStructure)
         view._structure = structure
         view.interner = self.interner
@@ -345,31 +337,67 @@ class ColumnarStructure:
             for name, relation in self._relations.items()
             if name != symbol.name
         }
+        view._offsets = self._offsets
+        view._targets = self._targets
+        view._neigh = self._neigh
+        return view
+
+    def derive_insert(self, structure, symbol, tup) -> "ColumnarStructure":
+        """The derived view after a single-tuple *insertion* — the columnar
+        leg of :meth:`Structure.with_tuple`'s copy-on-write contract.
+
+        Shares everything :meth:`_derived_view` shares and extends the
+        neighbour tuples of ``tup``'s entries with its co-occurrence edges;
+        when they are all present already, the parent's adjacency is the
+        derived one.  :meth:`derive_delete` is the mirror image."""
+        # Materialise the neighbour tuples before the view copies them, so
+        # the derived view inherits them instead of rebuilding from CSR.
+        neigh = self._neighbour_ids() if self.has_adjacency() else None
+        view = self._derived_view(structure, symbol)
+        if neigh is None:
+            return view
         id_of = self.interner._ids
         distinct = {id_of[entry] for entry in tup}
-        if len(distinct) < 2:
-            # No Gaifman edges in a (near-)singleton tuple: the parent's
-            # adjacency is the derived one, share it as-is.
-            view._offsets = self._offsets
-            view._targets = self._targets
-            view._neigh = self._neigh
-        elif self._neigh is not None or self._offsets is not None:
-            updated = list(self._neighbour_ids())
-            for a in distinct:
-                merged = set(updated[a])
-                merged.update(distinct)
-                merged.discard(a)
-                updated[a] = tuple(sorted(merged))
-            view._neigh = tuple(updated)
-            view._offsets = None
-            view._targets = None
-        else:
-            view._neigh = None
-            view._offsets = None
-            view._targets = None
+        if all(b == a or b in neigh[a] for a in distinct for b in distinct):
+            return view
+        updated = list(neigh)
+        for a in distinct:
+            merged = set(updated[a])
+            merged.update(distinct)
+            merged.discard(a)
+            updated[a] = tuple(sorted(merged))
+        view._neigh = tuple(updated)
+        view._offsets = None
+        view._targets = None
+        return view
+
+    def derive_delete(self, structure, symbol, lost_edges) -> "ColumnarStructure":
+        """The derived view after a single-tuple *deletion*, the mirror of
+        :meth:`derive_insert`.
+
+        ``lost_edges`` are the element pairs whose Gaifman edge the deletion
+        removes — those no remaining tuple still witnesses, as
+        :meth:`Structure.with_tuple` determines them — and only they leave
+        the neighbour tuples; with none, the parent's adjacency is shared."""
+        neigh = self._neighbour_ids() if self.has_adjacency() else None
+        view = self._derived_view(structure, symbol)
+        if not lost_edges or neigh is None:
+            return view
+        id_of = self.interner._ids
+        updated = list(neigh)
+        for x, y in lost_edges:
+            a = id_of[x]
+            b = id_of[y]
+            updated[a] = tuple(i for i in updated[a] if i != b)
+            updated[b] = tuple(i for i in updated[b] if i != a)
+        view._neigh = tuple(updated)
+        view._offsets = None
+        view._targets = None
         return view
 
     def degree(self, eid: int) -> int:
+        if self._neigh is not None:
+            return len(self._neigh[eid])
         offsets, _ = self._adjacency_csr()
         return offsets[eid + 1] - offsets[eid]
 

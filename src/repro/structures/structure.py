@@ -11,7 +11,7 @@ Universe elements may be arbitrary hashable Python objects.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from ..errors import ArityError, SignatureError, UniverseError
 from .signature import RelationSymbol, Signature
@@ -39,17 +39,20 @@ class Structure:
 
     Cache contract
     --------------
-    Derived data — the Gaifman :meth:`adjacency` and the per-position
-    :meth:`index` maps — is computed lazily and cached on the instance.
-    This is sound because the relational content never changes through the
-    public API.  "Updates" are expressed as *derivation*: :meth:`with_tuple`
-    returns a **new** structure sharing the unchanged relations (and the
-    still-valid caches) with its parent, so a query → update → query
-    sequence always sees fresh derived data on the derived structure while
-    the parent's caches stay valid for the parent.  Code that nevertheless
-    reaches into the internals (test harnesses, surgical subclasses) must
-    call :meth:`invalidate_caches` afterwards or the next :meth:`adjacency`
-    / :meth:`index` read will serve stale answers.
+    Derived data — the Gaifman :meth:`adjacency`, the per-position
+    :meth:`index` maps and the :meth:`columnar` view — is computed lazily
+    and cached on the instance.  This is sound because the relational
+    content never changes through the public API.  "Updates" are expressed
+    as *derivation*: :meth:`with_tuple` returns a **new** structure sharing
+    the unchanged relations with its parent and carrying every view the
+    parent had already built, derived by a change proportional to the
+    touched tuple's neighbourhood (insertions and deletions alike), so a
+    query → update → query sequence always sees fresh derived data on the
+    derived structure while the parent's caches stay valid for the parent.
+    Code that nevertheless reaches into the internals (test harnesses,
+    surgical subclasses) must call :meth:`invalidate_caches` afterwards or
+    the next :meth:`adjacency` / :meth:`index` read will serve stale
+    answers.
     """
 
     __slots__ = (
@@ -199,12 +202,20 @@ class Structure:
                 f"position {position} out of range for {symbol.name}/{symbol.arity}"
             )
         cache_key = (symbol.name, position)
-        if cache_key not in self._indexes:
-            built: Dict[Element, List[Tup]] = {}
-            for tup in self._relations[symbol]:
-                built.setdefault(tup[position], []).append(tup)
-            self._indexes[cache_key] = {v: tuple(ts) for v, ts in built.items()}
-        return self._indexes[cache_key]
+        built = self._indexes.get(cache_key)
+        if built is None:
+            built = self._build_index(symbol, position)
+            self._indexes[cache_key] = built
+        return built
+
+    def _build_index(
+        self, symbol: RelationSymbol, position: int
+    ) -> Dict[Element, Tuple[Tup, ...]]:
+        """A per-position index built from scratch (one relation scan)."""
+        built: Dict[Element, List[Tup]] = {}
+        for tup in self._relations[symbol]:
+            built.setdefault(tup[position], []).append(tup)
+        return {v: tuple(ts) for v, ts in built.items()}
 
     def interner(self):
         """The structure's :class:`~repro.structures.interning.ElementInterner`
@@ -249,19 +260,25 @@ class Structure:
         """A structure that differs from this one by exactly one tuple.
 
         Validates only the delta (arity and universe membership of ``tup``)
-        instead of revalidating every relation, and shares with the parent:
+        instead of revalidating every relation, and shares with the parent
+        the universe, signature, interner and every untouched relation with
+        its per-position indexes.  Each view the parent has already built
+        is *derived*, never dropped, on insertion and deletion alike:
 
-        * the universe, signature and size bookkeeping;
-        * the per-position index caches of every *untouched* relation
-          (the touched relation's indexes are dropped and rebuilt lazily);
-        * the Gaifman adjacency, extended incrementally on insertion —
-          a deletion resets it, since other tuples may still witness the
-          affected edges.
+        * the touched relation's per-position indexes, by replacing the one
+          bucket keyed by ``tup``'s entry at that position;
+        * the Gaifman adjacency (dict and columnar), by adding the new
+          tuple's co-occurrence edges on insertion, or removing on deletion
+          exactly the edges no remaining tuple of any relation still
+          witnesses (:meth:`_lost_edges`).
 
         Returns ``self`` unchanged when the update is a no-op (inserting a
         present tuple / deleting an absent one).  The parent structure and
-        its caches are never touched — this is the copy-on-write leg of the
-        cache contract above.
+        the caches it has built are never changed — this is the
+        copy-on-write leg of the cache contract above.  (On deletion the
+        co-witness search may lazily build a wide relation's per-position
+        indexes on the parent, exactly as :meth:`index` would; they are
+        then derived into the result along with the others.)
         """
         symbol = self._resolve_symbol(self._signature, key)
         tup = tuple(tup)
@@ -290,28 +307,44 @@ class Structure:
         )
         derived._relations = relations
         derived._size = self._size + (1 if present else -1)
-        # Index caches of untouched relations stay valid; the touched
-        # relation's are rebuilt lazily on demand.
+        columnar = self._columnar
+        distinct = set(tup)
+        adjacency_built = self._adjacency is not None or (
+            columnar is not None and columnar.has_adjacency()
+        )
+        # Before the indexes are derived: the co-witness search may build
+        # a wide relation's per-position indexes on the parent, and those
+        # must pass to the derived structure like every other index.
+        lost = (
+            self._lost_edges(symbol, tup, distinct)
+            if not present and len(distinct) > 1 and adjacency_built
+            else []
+        )
         derived._indexes = {
-            cache_key: index
+            cache_key: (
+                index
+                if cache_key[0] != symbol.name
+                else _derive_index(index, tup, cache_key[1], present)
+            )
             for cache_key, index in self._indexes.items()
-            if cache_key[0] != symbol.name
         }
-        derived._adjacency = None
-        if self._adjacency is not None:
-            distinct = set(tup)
-            if present:
-                if len(distinct) < 2:
-                    # No Gaifman edges in a (near-)singleton tuple: the
-                    # parent's adjacency is the derived one, share it.
-                    derived._adjacency = self._adjacency
-                else:
-                    adjacency = dict(self._adjacency)
-                    for a in distinct:
-                        adjacency[a] = adjacency[a] | (distinct - {a})
-                    derived._adjacency = adjacency
-            elif len(distinct) < 2:
-                derived._adjacency = self._adjacency
+        # When the update changes no Gaifman edge the parent's adjacency
+        # is the derived one and is shared as-is.
+        parent_adjacency = derived._adjacency = self._adjacency
+        if parent_adjacency is not None:
+            if present and any(
+                not distinct <= parent_adjacency[a] | {a} for a in distinct
+            ):
+                adjacency = dict(parent_adjacency)
+                for a in distinct:
+                    adjacency[a] = adjacency[a] | (distinct - {a})
+                derived._adjacency = adjacency
+            elif lost:
+                adjacency = dict(parent_adjacency)
+                for a, b in lost:
+                    adjacency[a] = adjacency[a] - {b}
+                    adjacency[b] = adjacency[b] - {a}
+                derived._adjacency = adjacency
         # Statistics follow the same copy-on-write discipline as the other
         # caches: the parent's stay untouched, the derived structure gets an
         # incrementally adjusted copy (duck-typed so this module stays free
@@ -322,16 +355,51 @@ class Structure:
             else None
         )
         # Same universe, same id space: the interner is shared, keeping ids
-        # stable along derivation chains.  The columnar view follows the
-        # adjacency policy above: extended incrementally on insertion,
-        # reset (rebuilt lazily) on deletion.
+        # stable along derivation chains.
         derived._interner = self._interner
-        derived._columnar = (
-            self._columnar.derive_insert(derived, symbol, tup)
-            if present and self._columnar is not None
-            else None
-        )
+        if columnar is None:
+            derived._columnar = None
+        elif present:
+            derived._columnar = columnar.derive_insert(derived, symbol, tup)
+        else:
+            derived._columnar = columnar.derive_delete(derived, symbol, lost)
         return derived
+
+    def _lost_edges(
+        self, symbol: RelationSymbol, tup: Tup, distinct: Set[Element]
+    ) -> List[Tuple[Element, Element]]:
+        """The Gaifman edges that deleting ``tup`` from ``symbol`` removes:
+        the pairs of its distinct entries that no other tuple of any
+        relation still contains.  Binary relations answer by membership;
+        wider ones through the per-position indexes of one endpoint, so
+        the cost follows that endpoint's degree, not ``||A||``."""
+        entries = list(distinct)
+        lost: List[Tuple[Element, Element]] = []
+        for i, a in enumerate(entries):
+            for b in entries[i + 1 :]:
+                if not self._co_witnessed(a, b, symbol, tup):
+                    lost.append((a, b))
+        return lost
+
+    def _co_witnessed(
+        self, a: Element, b: Element, symbol: RelationSymbol, removed: Tup
+    ) -> bool:
+        """Whether a tuple other than ``removed`` (of ``symbol``) contains
+        both ``a`` and ``b``."""
+        for other, rel in self._relations.items():
+            if other.arity < 2 or not rel:
+                continue
+            skip = removed if other is symbol else None
+            if other.arity == 2:
+                for pair in ((a, b), (b, a)):
+                    if pair != skip and pair in rel:
+                        return True
+                continue
+            for position in range(other.arity):
+                for candidate in self.index(other, position).get(a, ()):
+                    if b in candidate and candidate != skip:
+                        return True
+        return False
 
     # -- pickling ----------------------------------------------------------------
 
@@ -387,3 +455,23 @@ class Structure:
             f"{s.name}:{len(rel)}" for s, rel in sorted(self._relations.items(), key=lambda p: p[0].name)
         )
         return f"Structure(|A|={self.order()}, {rels})"
+
+
+def _derive_index(
+    index: Dict[Element, Tuple[Tup, ...]], tup: Tup, position: int, present: bool
+) -> Dict[Element, Tuple[Tup, ...]]:
+    """A per-position index after inserting/deleting ``tup``: a copy of the
+    parent's with the one bucket keyed by ``tup[position]`` replaced (and
+    dropped once its last tuple is gone)."""
+    derived = dict(index)
+    value = tup[position]
+    bucket = index.get(value, ())
+    if present:
+        derived[value] = bucket + (tup,)
+    else:
+        remaining = tuple(t for t in bucket if t != tup)
+        if remaining:
+            derived[value] = remaining
+        else:
+            del derived[value]
+    return derived

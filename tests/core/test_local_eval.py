@@ -1,6 +1,8 @@
 """Tests for local (ball-exploration) evaluation of basic cl-terms
 (Remark 6.3), differential-tested against the naive semantics."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,11 +14,28 @@ from repro.core.local_eval import (
     evaluate_polynomial_unary,
     pattern_tuples,
 )
-from repro.errors import FormulaError
+from repro.core.reference import reference_evaluate_basic_unary
+from repro.errors import ArityError, EvaluationError, FormulaError
 from repro.logic.builder import Rel
 from repro.logic.semantics import evaluate
-from repro.logic.syntax import And, Eq, Exists, Not, Top
+from repro.logic.syntax import (
+    And,
+    Atom,
+    Bottom,
+    CountTerm,
+    DistAtom,
+    Eq,
+    Exists,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    PredicateAtom,
+    Top,
+)
 from repro.structures.builders import graph_structure, grid_graph, path_graph
+from repro.structures.signature import Signature
+from repro.structures.structure import Structure
 from repro.structures.gaifman import connectivity_graph
 
 from ..conftest import small_graphs
@@ -173,3 +192,88 @@ class TestPolynomialEvaluation:
         )
         with pytest.raises(FormulaError):
             evaluate_polynomial_ground(path5, ClPolynomial.of(degree))
+
+
+VARIABLES = ("y1", "y2", "y3")
+PATTERN = frozenset({(1, 2), (2, 3)})
+
+
+def _random_psi(rng, depth):
+    """A quantifier-free formula over E/2 and R/3 with repeated variables."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Atom("E", tuple(rng.choice(VARIABLES) for _ in range(2)))
+        if kind == 1:
+            return Atom("R", tuple(rng.choice(VARIABLES) for _ in range(3)))
+        if kind == 2:
+            return Eq(rng.choice(VARIABLES), rng.choice(VARIABLES))
+        return Top() if kind == 3 else Bottom()
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Not(_random_psi(rng, depth - 1))
+    connective = (And, Or, Implies, Iff)[kind - 1]
+    return connective(_random_psi(rng, depth - 1), _random_psi(rng, depth - 1))
+
+
+def _random_structure(rng, n=9):
+    universe = list(range(n))
+    edges = {tuple(rng.sample(universe, 2)) for _ in range(2 * n)}
+    edges |= {(v, u) for u, v in edges if rng.random() < 0.5}
+    edges |= {(v, v) for v in rng.sample(universe, 2)}
+    triples = {
+        (a, rng.choice(universe), rng.choice((a, b)))
+        for a, b in (rng.sample(universe, 2) for _ in range(n))
+    }
+    return Structure(Signature.of(E=2, R=3), universe, {"E": edges, "R": triples})
+
+
+def _term(psi, psi_radius=0):
+    return BasicClTerm(VARIABLES, psi, psi_radius, 1, PATTERN, unary=True)
+
+
+class TestCompiledPsi:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        structure = _random_structure(rng)
+        term = _term(_random_psi(rng, 4))
+        assert evaluate_basic_unary(structure, term) == reference_evaluate_basic_unary(
+            structure, term
+        )
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            PredicateAtom("even", (CountTerm(("z",), Atom("E", ("y2", "z"))),)),
+            Or(DistAtom("y1", "y3", 1), Not(Atom("E", ("y3", "y3")))),
+        ],
+        ids=["predicate", "dist"],
+    )
+    def test_fallback_nodes_agree(self, psi):
+        structure = _random_structure(random.Random(5))
+        term = _term(And(Atom("E", ("y1", "y2")), psi))
+        assert evaluate_basic_unary(structure, term) == reference_evaluate_basic_unary(
+            structure, term
+        )
+
+    def test_unknown_relation_raises_the_semantics_error(self):
+        structure = _random_structure(random.Random(3))
+        term = _term(Or(Atom("E", ("y1", "y2")), Atom("Missing", ("y1",))))
+        with pytest.raises(EvaluationError, match="Missing"):
+            evaluate_basic_unary(structure, term)
+        with pytest.raises(EvaluationError, match="Missing"):
+            reference_evaluate_basic_unary(structure, term)
+
+    def test_wrong_arity_raises_the_semantics_error(self):
+        structure = _random_structure(random.Random(3))
+        term = _term(Atom("R", ("y1", "y2")))
+        with pytest.raises(ArityError):
+            evaluate_basic_unary(structure, term)
+
+    def test_short_circuit_skips_an_unknown_relation(self):
+        structure = _random_structure(random.Random(3))
+        term = _term(Or(Top(), Atom("Missing", ("y1",))))
+        assert evaluate_basic_unary(structure, term) == reference_evaluate_basic_unary(
+            structure, term
+        )

@@ -340,3 +340,20 @@ class TestReportPlumbing:
         engine = RobustEvaluator()
         with pytest.raises(TypeError, match="genuine bug"):
             engine.model_check(path_graph(3), parse_formula("exists x. E(x, x)"))
+
+    def test_stage_metrics_survive_counters_added_meanwhile(self):
+        # In the query service worker threads share one registry; a counter
+        # created while a stage report takes its delta must not abort it.
+        from repro.obs.metrics import MetricsRegistry
+        from repro.robust.guard import _counter_delta
+
+        class GrowingCounters(dict):
+            def items(self):
+                live = iter(super().items())
+                yield next(live)
+                self["worker.new.counter"] = 1
+                yield from live
+
+        registry = MetricsRegistry()
+        registry.counters = GrowingCounters({"a": 2, "b": 1})
+        assert _counter_delta(registry, {"a": 1, "b": 1}) == {"a": 1}
